@@ -14,6 +14,7 @@ footprint, not the configured capacity.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -71,11 +72,11 @@ class Bank:
     two requests addressing the same bank within the window conflict
     (paper §IV.C.3/4) — the second cannot issue until the bank frees.
 
-    Storage is a sparse dict of numpy ``uint64`` pages (64 KiB of
-    payload each), materialised on first write, with a per-page
-    touched-atom bitmap so ``touched_atoms`` / patrol scrub observe
-    exactly the atoms demand traffic wrote — bit-identical to the
-    historical dict-of-atoms store, including atoms written as zero.
+    Storage is a sparse dict of numpy ``uint64`` pages (``PAGE_ATOMS``
+    atoms = 4 KiB of payload each), materialised on first write, with a
+    per-page touched-atom bitmap so ``touched_atoms`` / patrol scrub
+    observe exactly the atoms demand traffic wrote — bit-identical to
+    the historical dict-of-atoms store, including atoms written as zero.
     A dirty-page set records pages modified since the last
     :meth:`clear_dirty`, giving checkpoint/IPC layers a cheap delta.
     """
@@ -438,23 +439,28 @@ class Bank:
 
     # -- versioned pickling ---------------------------------------------------
 
-    def __getstate__(self) -> dict:
-        state = {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in ("_pages", "_touched", "_dirty",
-                            "_chunk", "_tchunk", "_chunk_used")
-        }
-        # v2 storage codec: raw page bytes + bit-packed touched maps.
-        state["_storage_v2"] = [
-            (pg, self._pages[pg].tobytes(),
-             np.packbits(self._touched[pg]).tobytes())
-            for pg in sorted(self._pages)
-        ]
-        return state
+    def __getstate__(self) -> tuple:
+        # Compact codec: one flat tuple (the pickle memo keeps every
+        # container alive until the dump ends) of the shared slot-name
+        # tuple, the DRAM count, sorted page indices, all page words,
+        # the bit-packed touched maps, then the plain slot values.
+        pages = sorted(self._pages)
+        touched = np.packbits(
+            np.concatenate([self._touched[pg] for pg in pages])
+        ) if pages else b""
+        return (
+            _STATE_SLOTS, len(self.drams),
+            np.array(pages, dtype=np.int64).tobytes(),
+            b"".join([self._pages[pg] for pg in pages]), bytes(touched),
+        ) + _state_values(self)
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
+        compact = None
+        if isinstance(state, tuple) and len(state) > 2:
+            names, num_drams, *compact = state[:5]
+            state = dict(zip(names, state[5:]))
+            state["drams"] = [DRAM(i, self) for i in range(num_drams)]
+        elif isinstance(state, tuple):
             # Default slots-object pickle protocol: (dict_state, slots).
             state = {**(state[0] or {}), **(state[1] or {})}
         else:
@@ -472,8 +478,20 @@ class Bank:
         self._chunk = None
         self._tchunk = None
         self._chunk_used = 0
-        if storage is not None:
-            page_atoms = self._page_words // ATOM_WORDS
+        page_atoms = self._page_words // ATOM_WORDS
+        if compact is not None:
+            pages, words, touched = compact
+            pages = np.frombuffer(pages, dtype=np.int64).tolist()
+            n = len(pages)
+            words = np.frombuffer(words, dtype=np.uint64).reshape(
+                n, self._page_words).copy()
+            touched = np.unpackbits(
+                np.frombuffer(touched, dtype=np.uint8), count=n * page_atoms
+            ).astype(bool).reshape(n, page_atoms)
+            for i, pg in enumerate(pages):
+                self._pages[pg] = words[i]
+                self._touched[pg] = touched[i]
+        elif storage is not None:
             for pg, words, touched in storage:
                 self._pages[pg] = np.frombuffer(
                     words, dtype=np.uint64
@@ -519,3 +537,13 @@ class Bank:
         self.dram_access_count = 0
         if self.ras is not None:
             self.ras.reset()
+
+
+#: Slots the compact pickle codec stores by value, in this order
+#: (storage, slab bookkeeping and DRAM leaves are encoded separately).
+_STATE_SLOTS = tuple(
+    name for name in Bank.__slots__
+    if name not in ("drams", "_pages", "_touched", "_dirty",
+                    "_chunk", "_tchunk", "_chunk_used")
+)
+_state_values = attrgetter(*_STATE_SLOTS)

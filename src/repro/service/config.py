@@ -148,8 +148,8 @@ class ServiceConfig:
     #: yields (higher = less asyncio overhead, coarser liveness).
     cycles_per_yield: int = 64
     #: -- resilience (all disarmed by default: 0 = PR-6 behaviour) ----
-    #: Pumped cycles between epoch checkpoints of each shard (plus a
-    #: forced epoch at every lease and retirement).  0 disarms shard
+    #: Pumped cycles between epoch checkpoints of each shard (leases
+    #: and retirements also mark one due for the next pump).  0 disarms shard
     #: crash-recovery: a crash retires the shard terminally.
     checkpoint_interval: int = 0
     #: Epoch restores allowed per shard before a crash turns terminal.

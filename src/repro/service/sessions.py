@@ -19,9 +19,11 @@ Spinning a shard up therefore comes in two flavours:
   and degradation state when fault injection is enabled — at a fraction
   of the wall-clock cost.
 
-``BENCH_service.json`` quantifies the gap; :class:`SpinUpStats` records
-it per run.  Wall-clock numbers feed *only* these spin-up metrics —
-nothing simulated depends on them, which keeps service runs reproducible.
+The benchmark's ``serve_chaos`` workload times both paths (``setup_s``
+builds the template; the ``service.checkpoint`` layer holds the warm
+restores); :class:`SpinUpStats` records spin-up cost per run.
+Wall-clock numbers feed *only* these spin-up metrics — nothing
+simulated depends on them, which keeps service runs reproducible.
 """
 
 from __future__ import annotations

@@ -21,14 +21,16 @@ No wall clock and no RNG enter this module; a fixed (config, specs)
 pair pumps to the same per-tenant accounting every time, under either
 engine scheduler.
 
-Self-healing (PR 8) — with ``checkpoint_interval`` armed the shard
-keeps an *epoch*: a :func:`~repro.core.checkpoint.snapshot_bundle` of
-its sim + per-slot hosts plus copies of every resumable counter, taken
-every N pumped cycles and forced at each lease and retirement (so a
-completed session is always durable — a restore can never resurrect
-resolved work).  Sessions journal the request items they consume; a
-crash (chaos ``shard_crash``, chaos ``watchdog_trip``, or an organic
-:class:`~repro.core.errors.WatchdogError`) restores the epoch and
+Self-healing — with ``checkpoint_interval`` armed the shard keeps an
+*epoch*: a :func:`~repro.core.checkpoint.snapshot_bundle` of its sim +
+per-slot hosts plus copies of every resumable counter.  Every N pumped
+cycles, each lease and each retirement mark an epoch due; the next
+pump takes it first thing (at most one per pumped cycle).  Restores
+happen only inside the pump and only a lease touches the shard between
+pumps, so the deferred epoch equals an immediate one: a completed
+session is always durable.  Sessions journal the request items they
+consume; a crash (chaos ``shard_crash``, chaos ``watchdog_trip``, or an
+organic :class:`~repro.core.errors.WatchdogError`) restores the epoch and
 re-feeds the post-epoch journal through the same deterministic pump, so
 recovery itself is bit-reproducible.  Counted account fields rewind
 with the epoch; the monotone recovery-history fields
@@ -166,6 +168,9 @@ class Shard:
         #: Journal request items (needed by both crash replay and failover).
         self._journaling = self._recovery_armed or config.failover_retries > 0
         self._epoch: Optional[dict] = None
+        self._epoch_due = False
+        #: Epochs taken (deterministic; counts checkpoint work).
+        self.epochs = 0
         self.crashes = 0
         self.recoveries = 0
         self.recovery_events: List[dict] = []
@@ -195,10 +200,9 @@ class Shard:
         account.slot = slot
         account.status = "active"
         self.sessions[slot] = session
-        if self._recovery_armed:
-            # Membership changed: force an epoch so a later restore
-            # brings the new resident back with everyone else.
-            self._take_epoch()
+        # Membership changed: the next epoch brings the new resident
+        # back with everyone else on a later restore.
+        self._epoch_due = self._recovery_armed
         return session
 
     def install_chaos(self, events: List[ChaosEvent]) -> None:
@@ -216,6 +220,8 @@ class Shard:
         """
         if self.dead or not self.sessions:
             return []
+        if self._epoch_due:
+            self._take_epoch()
         if self._chaos_idx < len(self._chaos):
             displaced = self._fire_chaos()
             if displaced is not None:
@@ -264,9 +270,9 @@ class Shard:
             completed
             or self.cycles_pumped % self.config.checkpoint_interval == 0
         ):
-            # Retirement forces an epoch: completed work is durable and
-            # can never be resurrected (and re-billed) by a restore.
-            self._take_epoch()
+            # Retirement marks an epoch due: completed work is durable
+            # and can never be resurrected (and re-billed) by a restore.
+            self._epoch_due = True
         return completed
 
     def _send_phase(self, sess: Session, cycle: int) -> None:
@@ -461,6 +467,8 @@ class Shard:
             snap = {f: getattr(sess.account, f) for f in _ACCT_EPOCH_FIELDS}
             snap["latencies"] = list(sess.account.latencies)
             accounts[slot] = snap
+        self._epoch_due = False
+        self.epochs += 1
         self._epoch = {
             "blob": snapshot_bundle(self.sim, hosts),
             "sessions": sessions,
@@ -640,6 +648,7 @@ class Shard:
             },
             "crashes": self.crashes,
             "recoveries": self.recoveries,
+            "epochs": self.epochs,
         }
         if self.recovery_events:
             out["recovery_events"] = list(self.recovery_events)

@@ -1,0 +1,79 @@
+"""Generate the ``_storage_v2`` checkpoint compatibility fixture.
+
+This script was run against the tree whose ``Bank`` pickle still wrote
+the ``_storage_v2`` codec (a per-page list of raw word bytes plus a
+bit-packed touched map, with the ``DRAM`` leaves pickled as objects),
+producing:
+
+- ``storage_v2_snapshot.bin`` — a small :func:`snapshot_bundle` of a
+  mid-flight simulation + host (requests in flight, banks written);
+- ``storage_v2_expect.json`` — the snapshot's cycle and bank digest,
+  and the observables of the deterministic continuation from
+  ``gen_pre_flat_core.run_continuation`` replayed on a *restored* copy.
+
+The encoder has since moved to a compact per-bank codec, so nothing
+else in the test suite produces a v2 blob; ``tests/test_checkpoint_compat.py``
+restores this one and checks the continuation bit-for-bit.  Re-running
+the script on a newer tree would overwrite the fixture with a blob in
+the current format and defeat the test — keep the committed outputs.
+
+Run from the repository root::
+
+    PYTHONPATH=src python -m tests.fixtures.gen_storage_v2
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+from repro.core.checkpoint import restore_bundle, snapshot_bundle
+from repro.workloads.random_access import (
+    RandomAccessConfig,
+    random_access_requests,
+)
+from tests.fixtures.gen_pre_flat_core import (
+    build_sim,
+    run_continuation,
+    storage_fingerprint,
+)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BLOB_PATH = os.path.join(HERE, "storage_v2_snapshot.bin")
+EXPECT_PATH = os.path.join(HERE, "storage_v2_expect.json")
+
+#: Pre-snapshot phases: few requests so the blob stays small.  The
+#: first is write-heavy and drained, so the banks hold real content;
+#: the second is left in flight.
+PHASE_A = RandomAccessConfig(num_requests=24, read_fraction=0.25, seed=21)
+PHASE_A_INFLIGHT = RandomAccessConfig(num_requests=32, read_fraction=0.5,
+                                      seed=22)
+
+
+def main() -> None:
+    sim, host = build_sim()
+    capacity = sim.config.device.capacity_bytes
+    host.run(random_access_requests(capacity, PHASE_A), cub=0)
+    # drain=False: the snapshot also carries loaded queues and
+    # outstanding tags.
+    host.run(random_access_requests(capacity, PHASE_A_INFLIGHT), cub=0,
+             drain=False)
+    blob = snapshot_bundle(sim, host)
+    with open(BLOB_PATH, "wb") as fh:
+        fh.write(blob)
+
+    sim2, (host2,) = restore_bundle(blob)
+    expect = {
+        "snapshot_cycle": sim.clock_value,
+        "snapshot_storage_sha256": storage_fingerprint(sim2),
+        "blob_bytes": len(blob),
+    }
+    expect.update(run_continuation(sim2, host2))
+    with open(EXPECT_PATH, "w") as fh:
+        json.dump(expect, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps(expect, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,8 @@
 """Unit tests for banks and DRAMs (repro.core.bank)."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.bank import ATOM_BYTES, Bank, COLUMN_FETCH_BYTES, DRAM
@@ -129,3 +132,72 @@ class TestAccounting:
         assert bank.read(0, 16) == [0, 0]
         assert bank.writes == 0  # reset cleared, the read above re-counts
         assert not bank.is_busy(0)
+
+
+#: Slots holding storage or slab bookkeeping (compared via the public
+#: storage views) or the DRAM leaves (compared leaf by leaf).
+_NON_COUNTER_SLOTS = ("drams", "_pages", "_touched", "_dirty",
+                      "_chunk", "_tchunk", "_chunk_used")
+
+
+def _written_bank():
+    bank = Bank(bank_id=3, capacity_bytes=1 << 20, num_drams=8)
+    bank.write(0, [1, 2, 3, 4])
+    bank.write(5000 * ATOM_BYTES, [0, 0])          # zero write still touches
+    bank.write(255 * ATOM_BYTES, [5, 6, 7, 8])     # page-crossing write
+    bank.masked_write(300 * ATOM_BYTES + 8, 0xAB, 0x01)
+    bank.atomic_add16(40_000 * ATOM_BYTES, [9, 10])
+    bank.read(0, 64)
+    bank.occupy(cycle=17, busy_cycles=6)
+    bank.access_busy_cycles(4, 6, open_policy=True, hit_cycles=2,
+                            miss_cycles=9)
+    bank.conflicts = 2
+    return bank
+
+
+def _sub_page_bank():
+    # Smaller than one page, with a 13-atom touched map (not a whole
+    # number of bytes once bit-packed).
+    bank = Bank(bank_id=2, capacity_bytes=13 * ATOM_BYTES, num_drams=4)
+    bank.write(2 * ATOM_BYTES, [11, 12])
+    bank.read(2 * ATOM_BYTES, 16)
+    return bank
+
+
+class TestPickleCodec:
+    @pytest.mark.parametrize("make", [
+        _written_bank,
+        lambda: Bank(bank_id=1, capacity_bytes=1 << 20),        # empty
+        _sub_page_bank,
+    ], ids=["written", "empty", "sub_page"])
+    def test_round_trip(self, make):
+        bank = make()
+        blob = pickle.dumps(bank, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"DRAM" not in blob
+        got = pickle.loads(blob)
+
+        assert len(got.drams) == len(bank.drams)
+        assert [d.dram_id for d in got.drams] == \
+            [d.dram_id for d in bank.drams]
+        assert all(d.bank is got for d in got.drams)
+        assert all(d.accesses == got.dram_access_count for d in got.drams)
+        assert got.touched_atoms() == bank.touched_atoms()
+        want, have = bank.export_storage(), got.export_storage()
+        assert [pg for pg, _, _ in have] == [pg for pg, _, _ in want]
+        for (_, w0, t0), (_, w1, t1) in zip(want, have):
+            assert w1.dtype == np.uint64 and t1.dtype == bool
+            assert np.array_equal(w0, w1) and np.array_equal(t0, t1)
+        for name in Bank.__slots__:
+            if name not in _NON_COUNTER_SLOTS:
+                assert getattr(got, name) == getattr(bank, name), name
+
+    def test_restored_bank_keeps_working(self):
+        bank = _written_bank()
+        got = pickle.loads(pickle.dumps(bank))
+        for b in (bank, got):
+            b.write(16, [21, 22])                     # restored page
+            b.write(60_000 * ATOM_BYTES, [23, 24])    # fresh page
+        assert got.read(0, 64) == bank.read(0, 64)
+        assert got.atom_words(60_000) == (23, 24)
+        assert got.touched_atoms() == bank.touched_atoms()
+

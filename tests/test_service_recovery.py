@@ -20,6 +20,10 @@ The PR-8 resilience contracts, end to end:
 
 from __future__ import annotations
 
+import copy
+import json
+import os
+
 import pytest
 
 from repro.analysis.tenants import (
@@ -31,6 +35,7 @@ from repro.analysis.tenants import (
 from repro.core.config import DeviceConfig
 from repro.core.errors import E_DEADLINE, DeadlineError, InitError
 from repro.faults.chaos import ChaosEvent, ChaosSchedule
+from repro.packets.commands import CMD
 from repro.service import (
     BreakerState,
     CircuitBreaker,
@@ -76,8 +81,42 @@ def _crash_campaign():
     ])
 
 
+def _edge_campaign():
+    """Crash on the first pump after the first lease, then a watchdog
+    trip on the next pumped cycle: both restore the lease epoch."""
+    return ChaosSchedule([
+        ChaosEvent(at=0, kind="shard_crash", shard=0),
+        ChaosEvent(at=1, kind="watchdog_trip", shard=0),
+    ])
+
+
+#: Campaigns pinned in tests/fixtures/recovery_oracle.json.
+ORACLE_CAMPAIGNS = {
+    "crash_campaign": _crash_campaign,
+    "edge_campaign": _edge_campaign,
+}
+
 _ARMED = dict(checkpoint_interval=64, failover_retries=2,
               breaker_threshold=3)
+
+_ORACLE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "fixtures", "recovery_oracle.json",
+)
+
+
+def _canonical_lines(view: dict) -> list:
+    """*view* as sorted, indented JSON lines.
+
+    Comparing the JSON text (rather than the parsed objects) keeps
+    tuples vs lists, int vs str dict keys and NaN percentiles from
+    making equal reports compare unequal; per-shard ``epochs`` is
+    dropped because it counts checkpoint work, not simulated results.
+    """
+    view = copy.deepcopy(view)
+    for shard in view.get("shards", []):
+        shard.pop("epochs", None)
+    return json.dumps(view, indent=1, sort_keys=True).splitlines()
 
 
 class TestChaosDeterminism:
@@ -116,6 +155,54 @@ class TestChaosDeterminism:
         assert va["consistency"] == vd["consistency"]
 
 
+class TestPinnedRecoveryOracle:
+    """Armed chaos serves against reports pinned in a committed fixture.
+
+    The determinism tests above compare a run with another run, so a
+    change that shifts every run the same way passes them; this oracle
+    does not.  Regenerate only with tests/fixtures/gen_recovery_oracle.py
+    on a tree known to be right.
+    """
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        with open(_ORACLE_PATH) as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("scheduler", ["active", "naive"])
+    @pytest.mark.parametrize("campaign", sorted(ORACLE_CAMPAIGNS))
+    def test_matches_pinned_report(self, oracle, campaign, scheduler):
+        report = _serve(chaos=ORACLE_CAMPAIGNS[campaign](),
+                        scheduler=scheduler, **_ARMED)
+        assert report["recovery"]["recoveries"] > 0
+        assert _canonical_lines(
+            deterministic_view(report, ignore_config=True)
+        ) == _canonical_lines(oracle[campaign])
+
+    @pytest.mark.parametrize("campaign", sorted(ORACLE_CAMPAIGNS))
+    def test_epoch_count_bounded_and_scheduler_free(self, campaign):
+        epochs = {}
+        for scheduler in ("active", "naive"):
+            report = _serve(chaos=ORACLE_CAMPAIGNS[campaign](),
+                            scheduler=scheduler, **_ARMED)
+            shards = report["shards"]
+            for sh in shards:
+                assert isinstance(sh["epochs"], int)
+                # At most one epoch per pumped cycle, plus the lease
+                # epoch taken on the first pump.
+                assert sh["epochs"] <= sh["cycles_pumped"] + 1
+            epochs[scheduler] = [sh["epochs"] for sh in shards]
+        assert epochs["active"] == epochs["naive"]
+        assert sum(epochs["active"]) > 0
+        disarmed = _serve(chaos=ORACLE_CAMPAIGNS[campaign]())
+        assert all(sh["epochs"] == 0 for sh in disarmed["shards"])
+
+    def test_edge_campaign_crashes_on_first_pump(self, oracle):
+        fired = oracle["edge_campaign"]["chaos"]["fired"]
+        assert [(ev["kind"], ev["fired_at"]) for ev in fired] == [
+            ("shard_crash", 0), ("watchdog_trip", 1)]
+
+
 class TestCrashRecovery:
     def test_crashes_recover_and_complete(self):
         rep = _serve(chaos=_crash_campaign(), **_ARMED)
@@ -126,6 +213,33 @@ class TestCrashRecovery:
                     for a in rep["accounting"]["tenants"].values()}
         assert statuses <= {"done"}
         assert not check_consistency(rep)
+
+    def test_retirement_epoch_survives_crash_without_lease(self):
+        # A short and a long tenant share shard 0 and nothing is
+        # waiting, so no lease follows the short one's retirement.  A
+        # crash before the next interval boundary must restore the
+        # retirement epoch, not the lease epoch from cycle 0.
+        def specs():
+            out = []
+            for i, n in enumerate((4, 40)):
+                reqs = [(CMD.WR64, k * 64 + i * 4096, [k] * 8) if k % 2
+                        else (CMD.RD64, k * 64 + i * 4096, None)
+                        for k in range(n)]
+                out.append(TenantSpec(tenant_id=f"t{i}",
+                                      requests=iter(reqs), rate=0.5))
+            return out
+
+        chaos = ChaosSchedule([ChaosEvent(at=40, kind="shard_crash",
+                                          shard=0)])
+        rep = MemoryService(_config(chaos=chaos, **_ARMED)).serve_sync(
+            specs())
+        short = rep["accounting"]["tenants"]["t0"]
+        assert short["status"] == "done"
+        (event,) = rep["recovery"]["events"]
+        assert event["restored_to"] == short["slot_cycles"] > 0
+        assert event["replayed_requests"] == 0
+        assert not check_consistency(rep)
+        assert rep["audit"]["ok"]
 
     def test_recovery_is_billed(self):
         rep = _serve(chaos=_crash_campaign(), **_ARMED)
