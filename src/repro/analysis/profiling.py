@@ -45,7 +45,8 @@ class AllocationProfiler:
     source lines by net size) and *how much* construction traffic the
     flat hot core absorbed (pooled vs fresh packet builds).
 
-    Tracing costs roughly 2x wall time — it is attached only on
+    Tracing costs about 10x wall time (2^16 requests on 4L/8B/2GB, 2-vCPU
+    x86-64: 3.5 s untraced, 31–40 s traced) — it is attached only on
     explicit request and never in benchmark timing paths.
     """
 

@@ -14,7 +14,9 @@ footprint, not the configured capacity.
 
 from __future__ import annotations
 
+import copyreg
 from operator import attrgetter
+from pickle import PickleBuffer
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -77,12 +79,12 @@ class Bank:
     per-page touched-atom bitmap so ``touched_atoms`` / patrol scrub
     observe exactly the atoms demand traffic wrote — bit-identical to
     the historical dict-of-atoms store, including atoms written as zero.
-    A dirty-page set records pages modified since the last
-    :meth:`clear_dirty`, giving checkpoint/IPC layers a cheap delta.
+    The pickled storage image is cached until the next mutation, so
+    checkpoints share it instead of re-encoding (:meth:`__reduce_ex__`).
     """
 
     __slots__ = ("bank_id", "capacity_bytes", "drams", "_pages",
-                 "_touched", "_dirty", "_page_words",
+                 "_touched", "_image", "_page_words",
                  "_chunk", "_tchunk", "_chunk_used",
                  "busy_until", "reads", "writes", "atomics", "conflicts",
                  "column_fetches", "open_row", "row_hits", "row_misses",
@@ -100,11 +102,11 @@ class Bank:
         #: Accesses seen by each DRAM slice (all slices move together).
         self.dram_access_count = 0
         # Sparse paged storage: page index -> uint64 word array, with a
-        # parallel touched-atom bitmap and a modified-since-sync set.
+        # parallel touched-atom bitmap and the cached pickle image.
         self._page_words = min(_PAGE_WORDS, capacity_bytes // 8)
         self._pages: Dict[int, np.ndarray] = {}
         self._touched: Dict[int, np.ndarray] = {}
-        self._dirty: set = set()
+        self._image = None
         # Page-backing slab: pages are carved out of a shared zeroed
         # allocation so a fresh page costs a slice view, not an
         # allocator round trip (uniform random workloads touch nearly
@@ -290,7 +292,7 @@ class Bank:
                 page[off : off + nwords] = [w & _MASK64 for w in words]
             a0 = off // ATOM_WORDS
             self._touched[pg][a0 : a0 + nwords // ATOM_WORDS] = True
-            self._dirty.add(pg)
+            self._image = None
         else:
             # Page-crossing write: atom-by-atom through the slow helper.
             for i in range(nwords // ATOM_WORDS):
@@ -329,7 +331,7 @@ class Bank:
                 word = (word & ~(0xFF << shift)) | (data & (0xFF << shift))
         page[off + half] = word & _MASK64
         self._touched[pg][off // ATOM_WORDS] = True
-        self._dirty.add(pg)
+        self._image = None
         if self.ras is not None:
             self.ras.on_write(atom, [int(page[off]), int(page[off + 1])])
 
@@ -357,7 +359,7 @@ class Bank:
         page[off] = new0
         page[off + 1] = new1
         self._touched[pg][off // ATOM_WORDS] = True
-        self._dirty.add(pg)
+        self._image = None
         if self.ras is not None:
             self.ras.on_write(atom, [new0, new1])
         return [old0, old1]
@@ -391,7 +393,7 @@ class Bank:
         page[off] = w0 & _MASK64
         page[off + 1] = w1 & _MASK64
         self._touched[pg][off // ATOM_WORDS] = True
-        self._dirty.add(pg)
+        self._image = None
 
     def touched_atoms(self) -> List[int]:
         """Sorted indices of written atoms (patrol scrub order).
@@ -409,13 +411,6 @@ class Bank:
         return out
 
     # -- page-level access (checkpoint / IPC / diagnostics) -------------------
-
-    def dirty_pages(self) -> List[int]:
-        """Page indices modified since the last :meth:`clear_dirty`."""
-        return sorted(self._dirty)
-
-    def clear_dirty(self) -> None:
-        self._dirty.clear()
 
     def export_storage(self) -> list:
         """Compact storage image: ``[(page, words, touched), ...]``.
@@ -435,24 +430,32 @@ class Bank:
                        for pg, words, _ in image}
         self._touched = {pg: np.array(touched, dtype=bool)
                          for pg, _, touched in image}
-        self._dirty = set(self._pages)
+        self._image = None
 
     # -- versioned pickling ---------------------------------------------------
 
-    def __getstate__(self) -> tuple:
+    def __reduce_ex__(self, protocol):
         # Compact codec: one flat tuple (the pickle memo keeps every
         # container alive until the dump ends) of the shared slot-name
-        # tuple, the DRAM count, sorted page indices, all page words,
-        # the bit-packed touched maps, then the plain slot values.
-        pages = sorted(self._pages)
-        touched = np.packbits(
-            np.concatenate([self._touched[pg] for pg in pages])
-        ) if pages else b""
-        return (
-            _STATE_SLOTS, len(self.drams),
-            np.array(pages, dtype=np.int64).tobytes(),
-            b"".join([self._pages[pg] for pg in pages]), bytes(touched),
-        ) + _state_values(self)
+        # tuple, the DRAM count, the cached image (sorted page indices,
+        # all page words, bit-packed touched maps), then the slot values.
+        # Its word bytes (nearly all of it) sit in a PickleBuffer made once
+        # (wrappers are GC-tracked): a buffer_callback may take them by
+        # reference; in band, or unwrapped below protocol 5, they are bytes.
+        image = self._image
+        if image is None:
+            pages = sorted(self._pages)
+            touched = np.packbits(
+                np.concatenate([self._touched[pg] for pg in pages])
+            ) if pages else b""
+            words = b"".join([self._pages[pg] for pg in pages])
+            image = self._image = (
+                np.array(pages, dtype=np.int64).tobytes(),
+                PickleBuffer(words) if pages else words, bytes(touched))
+        if protocol < 5 and isinstance(image[1], PickleBuffer):
+            image = (image[0], image[1].raw().obj, image[2])
+        return (copyreg.__newobj__, (type(self),),
+                (_STATE_SLOTS, len(self.drams)) + image + _state_values(self))
 
     def __setstate__(self, state) -> None:
         compact = None
@@ -474,13 +477,14 @@ class Bank:
             self._page_words = min(_PAGE_WORDS, self.capacity_bytes // 8)
         self._pages = {}
         self._touched = {}
-        self._dirty = set()
+        self._image = None
         self._chunk = None
         self._tchunk = None
         self._chunk_used = 0
         page_atoms = self._page_words // ATOM_WORDS
         if compact is not None:
             pages, words, touched = compact
+            self._image = (pages, PickleBuffer(words) if pages else words, touched)
             pages = np.frombuffer(pages, dtype=np.int64).tolist()
             n = len(pages)
             words = np.frombuffer(words, dtype=np.uint64).reshape(
@@ -522,7 +526,7 @@ class Bank:
         """Clear contents, busy state and statistics (device reset)."""
         self._pages.clear()
         self._touched.clear()
-        self._dirty.clear()
+        self._image = None
         self.busy_until = 0
         owner = self._owner
         if owner is not None:
@@ -543,7 +547,7 @@ class Bank:
 #: (storage, slab bookkeeping and DRAM leaves are encoded separately).
 _STATE_SLOTS = tuple(
     name for name in Bank.__slots__
-    if name not in ("drams", "_pages", "_touched", "_dirty",
+    if name not in ("drams", "_pages", "_touched", "_image",
                     "_chunk", "_tchunk", "_chunk_used")
 )
 _state_values = attrgetter(*_STATE_SLOTS)

@@ -1,7 +1,7 @@
 """Simulation checkpoint / restore.
 
-Long paper-scale runs (2^25 requests take hours in pure Python) benefit
-from checkpointing: snapshot the complete simulation state, resume
+Long paper-scale runs (2^25 requests take ~30 minutes in pure Python)
+benefit from checkpointing: snapshot the complete simulation state, resume
 later — or fork a state to explore two what-if continuations.  Because
 the engine is fully deterministic, a restored simulation continues
 bit-identically to the original.
@@ -15,7 +15,8 @@ detached through the same stand-in, so the whole restored graph shares
 one tracer and no sink object ever enters the pickle stream.  Host-side
 objects (:class:`~repro.host.host.Host` etc.) hold a reference to the
 sim and must be checkpointed *with* it via :func:`snapshot_bundle` to
-keep the object graph consistent.
+keep the object graph consistent; its ``buffers=[]`` (used by service
+epochs) shares banks' cached, immutable storage images by reference.
 
 The in-band link fault machinery (:mod:`repro.faults.inband`) is part
 of the pickled graph: per-direction retry pointers, cached replay
@@ -72,10 +73,10 @@ def _strip_magic(blob: bytes, kind: str) -> bytes:
     return blob[len(MAGIC):]
 
 
-def _unpickle(payload: bytes, kind: str) -> Any:
+def _unpickle(payload: bytes, kind: str, buffers=None) -> Any:
     """Deserialise a validated payload; raises CheckpointError."""
     try:
-        return pickle.loads(payload)
+        return pickle.loads(payload, buffers=buffers)
     except Exception as exc:
         raise CheckpointError(
             f"{kind}: payload is corrupt or truncated ({exc})"
@@ -99,7 +100,7 @@ def _tracer_holders(sim: HMCSim) -> List[Any]:
     return holders
 
 
-def _pickle_detached(sim: HMCSim, payload_of) -> bytes:
+def _pickle_detached(sim: HMCSim, payload_of, buffers=None) -> bytes:
     """Pickle ``payload_of(sim)`` with every tracer reference detached."""
     # Sharded engines (SimConfig.workers > 1) keep authoritative bank
     # state in worker processes; pull it into this process first so the
@@ -113,10 +114,13 @@ def _pickle_detached(sim: HMCSim, payload_of) -> bytes:
     sim.tracer = standin
     for h in holders:
         h.tracer = standin
+    def share(buf):  # out of band by reference: immutable bytes only
+        data = buf.raw().obj
+        return type(data) is not bytes or buffers.append(data)
     try:
         return MAGIC + pickle.dumps(
-            payload_of(sim), protocol=pickle.HIGHEST_PROTOCOL
-        )
+            payload_of(sim), protocol=pickle.HIGHEST_PROTOCOL,
+            buffer_callback=None if buffers is None else share)
     finally:
         sim.tracer = saved_tracer
         for h in holders:
@@ -156,7 +160,7 @@ def restore(blob: bytes) -> HMCSim:
     return sim
 
 
-def snapshot_bundle(sim: HMCSim, *extras: Any) -> bytes:
+def snapshot_bundle(sim: HMCSim, *extras: Any, buffers: list = None) -> bytes:
     """Snapshot *sim* together with host-side objects referencing it.
 
     Pickling them in one pass preserves shared references (a restored
@@ -164,14 +168,18 @@ def snapshot_bundle(sim: HMCSim, *extras: Any) -> bytes:
 
         blob = snapshot_bundle(sim, host)
         sim2, (host2,) = restore_bundle(blob)
+
+    *buffers* (a list) takes the immutable bank images by reference, out
+    of the blob; restore with the same list.  Without it, blob bytes are
+    unchanged.
     """
-    return _pickle_detached(sim, lambda s: (s, tuple(extras)))
+    return _pickle_detached(sim, lambda s: (s, tuple(extras)), buffers)
 
 
-def restore_bundle(blob: bytes) -> Tuple[HMCSim, tuple]:
+def restore_bundle(blob: bytes, buffers: list = None) -> Tuple[HMCSim, tuple]:
     """Inverse of :func:`snapshot_bundle`; raises
     :class:`~repro.core.errors.CheckpointError` on a bad blob."""
-    payload = _unpickle(_strip_magic(blob, "restore_bundle"), "restore_bundle")
+    payload = _unpickle(_strip_magic(blob, "restore_bundle"), "restore_bundle", buffers)
     try:
         sim, extras = payload
     except (TypeError, ValueError):

@@ -328,9 +328,9 @@ class MemoryService:
                 acct.finish("rejected")
                 ticket.future.set_result(False)
             tasks.append(asyncio.ensure_future(self._tenant_task(ticket)))
-        driver = asyncio.ensure_future(self._drive())
-        await asyncio.gather(*tasks)
-        await driver
+        # Gathered with the tenants so an exception in the driver (a
+        # failing pump) propagates instead of stranding their futures.
+        await asyncio.gather(self._drive(), *tasks)
         return self.report()
 
     def serve_sync(self, specs: Sequence[TenantSpec]) -> dict:

@@ -469,8 +469,10 @@ class Shard:
             accounts[slot] = snap
         self._epoch_due = False
         self.epochs += 1
+        buffers: list = []
         self._epoch = {
-            "blob": snapshot_bundle(self.sim, hosts),
+            "blob": snapshot_bundle(self.sim, hosts, buffers=buffers),
+            "buffers": buffers,
             "sessions": sessions,
             "accounts": accounts,
             "cycles_pumped": self.cycles_pumped,
@@ -505,7 +507,7 @@ class Shard:
     def _restore_epoch(self, reason: str) -> None:
         ep = self._epoch
         lost_cycles = self.cycles_pumped - ep["cycles_pumped"]
-        sim, (hosts,) = restore_bundle(ep["blob"])
+        sim, (hosts,) = restore_bundle(ep["blob"], ep["buffers"])
         self.executor.retire(self.sim)  # the crashed sim is discarded
         self.sim = sim
         replayed_total = 0

@@ -136,7 +136,7 @@ class TestAccounting:
 
 #: Slots holding storage or slab bookkeeping (compared via the public
 #: storage views) or the DRAM leaves (compared leaf by leaf).
-_NON_COUNTER_SLOTS = ("drams", "_pages", "_touched", "_dirty",
+_NON_COUNTER_SLOTS = ("drams", "_pages", "_touched", "_image",
                       "_chunk", "_tchunk", "_chunk_used")
 
 
@@ -201,3 +201,78 @@ class TestPickleCodec:
         assert got.atom_words(60_000) == (23, 24)
         assert got.touched_atoms() == bank.touched_atoms()
 
+
+
+#: Every storage mutator, applied to a ``_written_bank``.  Each changes
+#: stored contents, so each must drop the bank's cached image.
+_MUTATORS = {
+    "write": lambda b: b.write(16, [7, 8]),
+    "masked_write": lambda b: b.masked_write(8, 0xABCD, 0x02),
+    "atomic_add16": lambda b: b.atomic_add16(0, [1, 1]),
+    "set_atom_words": lambda b: b.set_atom_words(60_000, 3, 4),
+    "import_storage": lambda b: b.import_storage(b.export_storage()[1:]),
+    "reset": lambda b: b.reset(),
+}
+
+
+def _dumps(bank):
+    return pickle.dumps(bank, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _storage(bank):
+    return [(pg, w.tolist(), t.tolist())
+            for pg, w, t in bank.export_storage()]
+
+
+class TestCachedImage:
+    @pytest.mark.parametrize("mutate", list(_MUTATORS.values()),
+                             ids=list(_MUTATORS))
+    def test_mutator_invalidates_image(self, mutate):
+        bank = _written_bank()
+        before = _dumps(bank)
+        want_before = _storage(bank)
+        mutate(bank)
+        after = _dumps(bank)
+        assert after != before
+        assert _storage(pickle.loads(before)) == want_before
+        # The second blob carries the mutation: the image was rebuilt,
+        # not served stale from the first dump.
+        assert _storage(pickle.loads(after)) == _storage(bank)
+        assert _storage(bank) != want_before
+
+    def test_reads_keep_image(self):
+        bank = _written_bank()
+        _dumps(bank)
+        image = bank._image
+        bank.read(0, 64)
+        bank.occupy(cycle=40, busy_cycles=3)
+        _dumps(bank)
+        assert bank._image is image
+
+    @pytest.mark.parametrize("make", [_written_bank, _sub_page_bank],
+                             ids=["written", "sub_page"])
+    def test_seeded_image_matches_re_encoding(self, make):
+        got = pickle.loads(_dumps(make()))
+        seeded = [bytes(b) for b in got._image]
+        got._image = None
+        _dumps(got)
+        assert [bytes(b) for b in got._image] == seeded
+
+    def test_default_protocol_pickles_plain_bytes(self):
+        # Below protocol 5 the cached PickleBuffers unwrap to bytes.
+        bank = _written_bank()
+        _dumps(bank)
+        got = pickle.loads(pickle.dumps(bank, protocol=4))
+        assert _storage(got) == _storage(bank)
+
+    def test_out_of_band_round_trip_with_pickle_buffers(self):
+        # A plain pickle round trip hands PickleBuffers (not bytes) back
+        # to __setstate__; the seeded image must still re-pickle.
+        bank = _written_bank()
+        buffers = []
+        blob = pickle.dumps(bank, protocol=5, buffer_callback=buffers.append)
+        got = pickle.loads(blob, buffers=buffers)
+        assert type(got._image[1].raw().obj) is bytes
+        for protocol in (4, 5):
+            again = pickle.loads(pickle.dumps(got, protocol=protocol))
+            assert _storage(again) == _storage(bank)

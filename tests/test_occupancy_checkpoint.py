@@ -28,6 +28,12 @@ def mk_sim():
     return build_simple(HMCSim(num_devs=1, num_links=4, num_banks=8, capacity=2))
 
 
+def _storage(sim):
+    return [(pg, w.tobytes(), t.tobytes())
+            for d in sim.devices for v in d.vaults for b in v.banks
+            for pg, w, t in b.export_storage()]
+
+
 class TestOccupancySampler:
     def test_samples_accumulate(self):
         sim = mk_sim()
@@ -153,6 +159,26 @@ class TestCheckpoint:
         assert host2.sim is sim2  # shared reference survived
         res = host2.run([(CMD.RD64, i * 64, None) for i in range(16)])
         assert res.responses_received == 16
+
+    def test_out_of_band_bundle_shares_only_immutable_bytes(self):
+        sim = mk_sim()
+        host = Host(sim)
+        host.run([(CMD.WR64, i * 64, [i] * 8) for i in range(16)])
+        live = np.arange(4, dtype=np.uint32)  # writable: must stay in band
+        buffers = []
+        blob = snapshot_bundle(sim, host, live, buffers=buffers)
+        assert buffers and all(type(b) is bytes for b in buffers)
+        assert len(blob) < len(snapshot_bundle(sim, host, live))
+        at_snapshot = _storage(sim)
+        live[:] = 9
+        host.run([(CMD.WR64, i * 64, [99] * 8) for i in range(16)])
+        assert _storage(sim) != at_snapshot
+        sim2, (host2, live2) = restore_bundle(blob, buffers)
+        assert live2.tolist() == [0, 1, 2, 3]
+        assert _storage(sim2) == at_snapshot
+        assert host2.run([(CMD.RD64, 64, None)]).responses_received == 1
+        with pytest.raises(CheckpointError):
+            restore_bundle(blob)  # the images are not in the blob
 
     def test_save_load_file(self, tmp_path):
         sim = mk_sim()

@@ -21,6 +21,7 @@ The PR-8 resilience contracts, end to end:
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 
@@ -32,6 +33,7 @@ from repro.analysis.tenants import (
     deterministic_view,
     slo_report,
 )
+from repro.core.checkpoint import snapshot_bundle
 from repro.core.config import DeviceConfig
 from repro.core.errors import E_DEADLINE, DeadlineError, InitError
 from repro.faults.chaos import ChaosEvent, ChaosSchedule
@@ -42,6 +44,9 @@ from repro.service import (
     MemoryService,
     PriorityClass,
     ServiceConfig,
+    SessionPool,
+    Shard,
+    TenantAccount,
     TenantSpec,
     specs_from_profiles,
 )
@@ -481,3 +486,114 @@ class TestSloAndAudit:
                     for a in rep["accounting"]["tenants"].values()]
         assert "rejected" in statuses
         assert rep["audit"]["ok"], rep["audit"]["violations"]
+
+
+def _bank_digest(sim) -> str:
+    """Hash of every bank's stored contents, in device/vault/bank order."""
+    h = hashlib.blake2b(digest_size=16)
+    for dev in sim.devices:
+        for vault in dev.vaults:
+            for bank in vault.banks:
+                for pg, words, touched in bank.export_storage():
+                    h.update(f"{dev.dev_id}.{vault.vault_id}."
+                             f"{bank.bank_id}.{pg}|".encode())
+                    h.update(words.tobytes())
+                    h.update(touched.tobytes())
+    return h.hexdigest()
+
+
+_EPOCH_TENANT_FIELDS = ("requests_sent", "responses", "errors", "bytes_read",
+                        "bytes_written", "slot_cycles", "throttle_cycles")
+
+
+class TestEpochIsolation:
+    """Epochs share bank images with the live sim instead of copying
+    them; a write after the epoch must never leak into a restore."""
+
+    @staticmethod
+    def _leased_shard():
+        config = _config(checkpoint_interval=64)
+        sim, _ = SessionPool(config).spin_up()
+        shard = Shard(0, sim, config)
+        reqs = [(CMD.WR64, k * 64, [k] * 8) if k % 2
+                else (CMD.RD64, k * 64, None) for k in range(48)]
+        shard.lease(TenantSpec(tenant_id="t0", requests=iter(reqs)),
+                    TenantAccount("t0"))
+        return shard
+
+    @staticmethod
+    def _finish(shard):
+        acct = shard.sessions[0].account
+        for _ in range(100_000):
+            if not shard.busy:
+                break
+            shard.pump()
+        assert not shard.busy
+        return (shard.sim.clock_value, _bank_digest(shard.sim),
+                {f: getattr(acct, f) for f in _EPOCH_TENANT_FIELDS})
+
+    @pytest.mark.parametrize("in_band", [False, True],
+                             ids=["out_of_band", "in_band"])
+    def test_write_after_epoch_does_not_leak_into_restore(self, in_band):
+        reference = self._finish(self._leased_shard())
+
+        shard = self._leased_shard()
+        at_epoch = (shard.sim.clock_value, _bank_digest(shard.sim))
+        shard._take_epoch()  # the lease epoch the first pump would take
+        ep = shard._epoch
+        hosts = {slot: s.host for slot, s in shard.sessions.items()}
+        in_band_blob = snapshot_bundle(shard.sim, hosts)
+        assert ep["buffers"] and len(ep["blob"]) < len(in_band_blob)
+        if in_band:
+            ep["blob"], ep["buffers"] = in_band_blob, None
+        for _ in range(30):
+            shard.pump()
+        # A provisioned bank untouched since the epoch still holds the
+        # very image the epoch shares; write into one of its pages.
+        bank = next(b for dev in shard.sim.devices for v in dev.vaults
+                    for b in v.banks if b._image is not None and b._pages)
+        if not in_band:
+            words = bank._image[1].raw().obj
+            assert any(buf is words for buf in ep["buffers"])
+        atom = bank.touched_atoms()[0]
+        bank.write(atom * 16, [0xDEAD, 0xBEEF])
+        assert _bank_digest(shard.sim) != at_epoch[1]
+
+        assert shard._crash("test crash") == []
+        assert (shard.sim.clock_value, _bank_digest(shard.sim)) == at_epoch
+        assert self._finish(shard) == reference
+
+    def test_epoch_after_write_carries_the_write(self):
+        # The write drops the bank's cached image, so the next epoch
+        # re-encodes it rather than sharing the stale one.
+        shard = self._leased_shard()
+        for _ in range(30):
+            shard.pump()
+        bank = next(b for dev in shard.sim.devices for v in dev.vaults
+                    for b in v.banks if b._image is not None and b._pages)
+        bank.write(bank.touched_atoms()[0] * 16, [0xDEAD, 0xBEEF])
+        shard._take_epoch()
+        at_epoch = (shard.sim.clock_value, _bank_digest(shard.sim))
+        for _ in range(10):
+            shard.pump()
+        assert shard._crash("test crash") == []
+        assert (shard.sim.clock_value, _bank_digest(shard.sim)) == at_epoch
+
+
+class TestServeDriverErrors:
+    @pytest.mark.timeout(60)
+    def test_pump_exception_propagates_from_serve(self, monkeypatch):
+        # An exception in the driver used to strand every tenant future:
+        # serve_sync then blocked forever instead of raising.
+        calls = [0]
+        real_pump = Shard.pump
+
+        def failing_pump(self):
+            calls[0] += 1
+            if calls[0] == 5:
+                raise RuntimeError("injected pump fault")
+            return real_pump(self)
+
+        monkeypatch.setattr(Shard, "pump", failing_pump)
+        with pytest.raises(RuntimeError, match="injected pump fault"):
+            _serve(num_tenants=4)
