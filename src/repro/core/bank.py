@@ -32,17 +32,13 @@ COLUMN_FETCH_BYTES = 32
 
 _MASK64 = (1 << 64) - 1
 
-#: Page granularity of the array-backed store: 256 atoms = 4 KiB of
-#: payload per page.  Small enough that materialising a page on first
-#: touch stays cheap under uniform random access (the paper's harness
-#: touches most pages exactly once per run), large enough that strided
-#: and sequential workloads stay within a handful of pages.  Banks
-#: smaller than one page get a single page sized to their capacity.
-PAGE_ATOMS = 256
+#: Page granularity of the array-backed store: 8 atoms = 128 B of
+#: payload, the largest HMC request and block size, so aligned requests
+#: never cross a page.  Under uniform random writes (the paper's
+#: harness) storage then grows by 128 B per write, not by a larger page.
+#: Banks smaller than one page get a single page sized to their capacity.
+PAGE_ATOMS = 8
 _PAGE_WORDS = PAGE_ATOMS * ATOM_WORDS
-
-#: Pages per zeroed backing slab (see :meth:`Bank._materialize`).
-_SLAB_PAGES = 32
 
 
 class DRAM:
@@ -74,18 +70,18 @@ class Bank:
     two requests addressing the same bank within the window conflict
     (paper §IV.C.3/4) — the second cannot issue until the bank frees.
 
-    Storage is a sparse dict of numpy ``uint64`` pages (``PAGE_ATOMS``
-    atoms = 4 KiB of payload each), materialised on first write, with a
-    per-page touched-atom bitmap so ``touched_atoms`` / patrol scrub
-    observe exactly the atoms demand traffic wrote — bit-identical to
-    the historical dict-of-atoms store, including atoms written as zero.
+    Storage is one row arena, allocated on first write: ``_rows`` maps
+    a page index to a row of the 2-D ``uint64`` word array ``_words``
+    (``PAGE_ATOMS`` atoms = 128 B per row) and of the touched-atom map
+    ``_touched``, so ``touched_atoms`` / patrol scrub observe exactly
+    the atoms demand traffic wrote — bit-identical to the historical
+    dict-of-atoms store, including atoms written as zero.
     The pickled storage image is cached until the next mutation, so
     checkpoints share it instead of re-encoding (:meth:`__reduce_ex__`).
     """
 
-    __slots__ = ("bank_id", "capacity_bytes", "drams", "_pages",
+    __slots__ = ("bank_id", "capacity_bytes", "drams", "_rows", "_words",
                  "_touched", "_image", "_page_words",
-                 "_chunk", "_tchunk", "_chunk_used",
                  "busy_until", "reads", "writes", "atomics", "conflicts",
                  "column_fetches", "open_row", "row_hits", "row_misses",
                  "ras", "dram_access_count", "_owner")
@@ -101,19 +97,12 @@ class Bank:
         self.drams: List[DRAM] = [DRAM(i, self) for i in range(num_drams)]
         #: Accesses seen by each DRAM slice (all slices move together).
         self.dram_access_count = 0
-        # Sparse paged storage: page index -> uint64 word array, with a
-        # parallel touched-atom bitmap and the cached pickle image.
+        # Row arena: page index -> row of the word / touched arrays
+        # (allocated on first write), plus the cached pickle image.
         self._page_words = min(_PAGE_WORDS, capacity_bytes // 8)
-        self._pages: Dict[int, np.ndarray] = {}
-        self._touched: Dict[int, np.ndarray] = {}
+        self._rows: Dict[int, int] = {}
+        self._words = self._touched = None
         self._image = None
-        # Page-backing slab: pages are carved out of a shared zeroed
-        # allocation so a fresh page costs a slice view, not an
-        # allocator round trip (uniform random workloads touch nearly
-        # every page exactly once).
-        self._chunk = None
-        self._tchunk = None
-        self._chunk_used = 0
         #: First cycle at which the bank is free again.
         self.busy_until = 0
         #: Currently open DRAM row (-1 = all rows closed).  Only used
@@ -201,24 +190,26 @@ class Bank:
         # data width of the bank).
         self.dram_access_count += 1
 
-    def _materialize(self, pg: int) -> np.ndarray:
-        """Allocate (zeroed) page *pg* and its touched bitmap.
+    def _row(self, pg: int) -> int:
+        """Arena row of page *pg*; first touch claims the next zeroed row.
 
-        Pages and touched bitmaps are views into slab allocations of
-        ``_SLAB_PAGES`` pages each; zeroing happens once per slab.
+        A full (or not yet allocated) arena doubles: one ``np.zeros``
+        plus one copy of the rows in use.
         """
-        used = self._chunk_used
-        pw = self._page_words
-        ta = pw // ATOM_WORDS
-        if self._chunk is None or used >= _SLAB_PAGES:
-            self._chunk = np.zeros(pw * _SLAB_PAGES, dtype=np.uint64)
-            self._tchunk = np.zeros(ta * _SLAB_PAGES, dtype=bool)
-            used = 0
-        page = self._chunk[used * pw : (used + 1) * pw]
-        self._pages[pg] = page
-        self._touched[pg] = self._tchunk[used * ta : (used + 1) * ta]
-        self._chunk_used = used + 1
-        return page
+        row = self._rows.get(pg)
+        if row is None:
+            row = len(self._rows)
+            words = self._words
+            if words is None or row == len(words):
+                pw = self._page_words
+                grown = np.zeros((2 * row or 1, pw), dtype=np.uint64)
+                touched = np.zeros((len(grown), pw // ATOM_WORDS), dtype=bool)
+                if row:
+                    grown[:row] = words
+                    touched[:row] = self._touched
+                self._words, self._touched = grown, touched
+            self._rows[pg] = row
+        return row
 
     def read(self, byte_addr: int, nbytes: int) -> List[int]:
         """Read *nbytes* from bank-relative *byte_addr* as 64-bit words."""
@@ -241,19 +232,19 @@ class Bank:
         page_words = self._page_words
         pg, off = divmod(atom0 * ATOM_WORDS, page_words)
         if off + nw <= page_words:
-            page = self._pages.get(pg)
-            if page is None:
+            row = self._rows.get(pg)
+            if row is None:
                 return [0] * nw
-            return page[off : off + nw].tolist()
+            return self._words[row, off : off + nw].tolist()
         # Page-crossing access (unaligned multi-atom read): stitch.
         out: List[int] = []
         while nw > 0:
             take = min(nw, page_words - off)
-            page = self._pages.get(pg)
-            if page is None:
+            row = self._rows.get(pg)
+            if row is None:
                 out.extend([0] * take)
             else:
-                out.extend(page[off : off + take].tolist())
+                out.extend(self._words[row, off : off + take].tolist())
             nw -= take
             pg += 1
             off = 0
@@ -281,17 +272,17 @@ class Bank:
         page_words = self._page_words
         pg, off = divmod(atom0 * ATOM_WORDS, page_words)
         if off + nwords <= page_words:
-            page = self._pages.get(pg)
-            if page is None:
-                page = self._materialize(pg)
+            row = self._rows.get(pg)
+            if row is None:
+                row = self._row(pg)
             try:
-                page[off : off + nwords] = words
+                self._words[row, off : off + nwords] = words
             except (OverflowError, ValueError, TypeError):
                 # Out-of-range payload values (negative / >= 2**64):
                 # preserve the historical wraparound semantics.
-                page[off : off + nwords] = [w & _MASK64 for w in words]
+                self._words[row, off : off + nwords] = [w & _MASK64 for w in words]
             a0 = off // ATOM_WORDS
-            self._touched[pg][a0 : a0 + nwords // ATOM_WORDS] = True
+            self._touched[row, a0 : a0 + nwords // ATOM_WORDS] = True
             self._image = None
         else:
             # Page-crossing write: atom-by-atom through the slow helper.
@@ -321,16 +312,15 @@ class Bank:
         self._count_fetches(ATOM_BYTES)
         self._touch_drams(ATOM_BYTES)
         pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
-            page = self._materialize(pg)
+        row = self._row(pg)
+        page = self._words[row]
         word = int(page[off + half])
         for b in range(8):
             if byte_mask & (1 << b):
                 shift = 8 * b
                 word = (word & ~(0xFF << shift)) | (data & (0xFF << shift))
         page[off + half] = word & _MASK64
-        self._touched[pg][off // ATOM_WORDS] = True
+        self._touched[row, off // ATOM_WORDS] = True
         self._image = None
         if self.ras is not None:
             self.ras.on_write(atom, [int(page[off]), int(page[off + 1])])
@@ -350,15 +340,14 @@ class Bank:
         self._touch_drams(ATOM_BYTES)
         atom = byte_addr // ATOM_BYTES
         pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
-            page = self._materialize(pg)
+        row = self._row(pg)
+        page = self._words[row]
         old0, old1 = int(page[off]), int(page[off + 1])
         new0 = (old0 + operands[0]) & _MASK64
         new1 = (old1 + operands[1]) & _MASK64
         page[off] = new0
         page[off + 1] = new1
-        self._touched[pg][off // ATOM_WORDS] = True
+        self._touched[row, off // ATOM_WORDS] = True
         self._image = None
         if self.ras is not None:
             self.ras.on_write(atom, [new0, new1])
@@ -375,10 +364,10 @@ class Bank:
     def atom_words(self, atom: int) -> Tuple[int, int]:
         """Stored 64-bit word pair of *atom* (zeros when untouched)."""
         pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
+        row = self._rows.get(pg)
+        if row is None:
             return (0, 0)
-        return (int(page[off]), int(page[off + 1]))
+        return tuple(self._words[row, off : off + 2].tolist())
 
     def set_atom_words(self, atom: int, w0: int, w1: int) -> None:
         """Replace *atom*'s stored words without access accounting.
@@ -387,12 +376,11 @@ class Bank:
         traffic must go through :meth:`read` / :meth:`write`.
         """
         pg, off = divmod(atom * ATOM_WORDS, self._page_words)
-        page = self._pages.get(pg)
-        if page is None:
-            page = self._materialize(pg)
+        row = self._row(pg)
+        page = self._words[row]
         page[off] = w0 & _MASK64
         page[off + 1] = w1 & _MASK64
-        self._touched[pg][off // ATOM_WORDS] = True
+        self._touched[row, off // ATOM_WORDS] = True
         self._image = None
 
     def touched_atoms(self) -> List[int]:
@@ -403,14 +391,22 @@ class Bank:
         preserving the dict-of-atoms semantics the RAS scrubber and
         fingerprinting tools rely on.
         """
+        rows = self._rows
+        if not rows:
+            return []
+        pages = sorted(rows)
+        hit, atoms = np.nonzero(self._touched[[rows[pg] for pg in pages]])
         page_atoms = self._page_words // ATOM_WORDS
-        out: List[int] = []
-        for pg in sorted(self._touched):
-            base = pg * page_atoms
-            out.extend(int(a) + base for a in np.nonzero(self._touched[pg])[0])
-        return out
+        return (np.array(pages, dtype=np.int64)[hit] * page_atoms
+                + atoms).tolist()
 
     # -- page-level access (checkpoint / IPC / diagnostics) -------------------
+
+    @property
+    def _pages(self) -> Dict[int, np.ndarray]:
+        """``{page: word-row view}`` of every materialised page."""
+        words = self._words
+        return {pg: words[row] for pg, row in self._rows.items()}
 
     def export_storage(self) -> list:
         """Compact storage image: ``[(page, words, touched), ...]``.
@@ -419,17 +415,26 @@ class Bank:
         pickling it for IPC is one binary buffer per page instead of a
         Python dict entry per atom.
         """
-        return [
-            (pg, self._pages[pg].copy(), self._touched[pg].copy())
-            for pg in sorted(self._pages)
-        ]
+        words, touched = self._words, self._touched
+        return [(pg, words[row].copy(), touched[row].copy())
+                for pg, row in sorted(self._rows.items())]
 
     def import_storage(self, image: list) -> None:
-        """Inverse of :meth:`export_storage` (replaces all contents)."""
-        self._pages = {pg: np.array(words, dtype=np.uint64)
-                       for pg, words, _ in image}
-        self._touched = {pg: np.array(touched, dtype=bool)
-                         for pg, _, touched in image}
+        """Inverse of :meth:`export_storage` (replaces all contents).
+
+        The bank adopts the image's page length, so an export from a
+        bank restored with an older page size reads back intact.  Pages
+        of unequal or non-atom length raise ``ValueError``.
+        """
+        pw = len(image[0][1]) if image else self._page_words
+        if not pw or pw % ATOM_WORDS or any(
+                len(w) != pw or len(t) != pw // ATOM_WORDS for _, w, t in image):
+            raise ValueError(f"storage image pages must all hold {pw} words "
+                             f"(whole atoms) and one touched flag per atom")
+        self._page_words = pw
+        self._rows = {pg: row for row, (pg, _, _) in enumerate(image)}
+        self._words = np.array([w for _, w, _ in image], np.uint64) if image else None
+        self._touched = np.array([t for _, _, t in image], bool) if image else None
         self._image = None
 
     # -- versioned pickling ---------------------------------------------------
@@ -444,14 +449,13 @@ class Bank:
         # reference; in band, or unwrapped below protocol 5, they are bytes.
         image = self._image
         if image is None:
-            pages = sorted(self._pages)
-            touched = np.packbits(
-                np.concatenate([self._touched[pg] for pg in pages])
-            ) if pages else b""
-            words = b"".join([self._pages[pg] for pg in pages])
+            pages = sorted(self._rows)
+            idx = [self._rows[pg] for pg in pages]
             image = self._image = (
                 np.array(pages, dtype=np.int64).tobytes(),
-                PickleBuffer(words) if pages else words, bytes(touched))
+                PickleBuffer(self._words[idx].tobytes()),
+                np.packbits(self._touched[idx]).tobytes(),
+            ) if pages else (b"", b"", b"")
         if protocol < 5 and isinstance(image[1], PickleBuffer):
             image = (image[0], image[1].raw().obj, image[2])
         return (copyreg.__newobj__, (type(self),),
@@ -475,34 +479,29 @@ class Bank:
         if "_page_words" not in state:
             # Pre-flat-core blob: the slot didn't exist yet.
             self._page_words = min(_PAGE_WORDS, self.capacity_bytes // 8)
-        self._pages = {}
-        self._touched = {}
+        self._rows = {}
+        self._words = self._touched = None
         self._image = None
-        self._chunk = None
-        self._tchunk = None
-        self._chunk_used = 0
         page_atoms = self._page_words // ATOM_WORDS
         if compact is not None:
             pages, words, touched = compact
             self._image = (pages, PickleBuffer(words) if pages else words, touched)
-            pages = np.frombuffer(pages, dtype=np.int64).tolist()
-            n = len(pages)
-            words = np.frombuffer(words, dtype=np.uint64).reshape(
-                n, self._page_words).copy()
-            touched = np.unpackbits(
-                np.frombuffer(touched, dtype=np.uint8), count=n * page_atoms
-            ).astype(bool).reshape(n, page_atoms)
-            for i, pg in enumerate(pages):
-                self._pages[pg] = words[i]
-                self._touched[pg] = touched[i]
+            if pages:
+                pages = np.frombuffer(pages, dtype=np.int64).tolist()
+                n = len(pages)
+                self._rows = dict(zip(pages, range(n)))
+                self._words = np.frombuffer(words, dtype=np.uint64).reshape(
+                    n, self._page_words).copy()
+                self._touched = np.unpackbits(
+                    np.frombuffer(touched, dtype=np.uint8), count=n * page_atoms
+                ).astype(bool).reshape(n, page_atoms)
         elif storage is not None:
-            for pg, words, touched in storage:
-                self._pages[pg] = np.frombuffer(
-                    words, dtype=np.uint64
-                ).copy()
-                self._touched[pg] = np.unpackbits(
-                    np.frombuffer(touched, dtype=np.uint8)
-                )[:page_atoms].astype(bool)
+            self.import_storage([
+                (pg, np.frombuffer(words, dtype=np.uint64),
+                 np.unpackbits(np.frombuffer(touched, dtype=np.uint8))
+                 [:page_atoms].astype(bool))
+                for pg, words, touched in storage
+            ])
         elif blocks:
             # Pre-flat-core blob: dict-of-atoms storage; replay it into
             # pages so old checkpoints restore into the new layout.
@@ -514,18 +513,18 @@ class Bank:
     @property
     def touched_bytes(self) -> int:
         """Bytes of storage actually written."""
-        return ATOM_BYTES * sum(
-            int(np.count_nonzero(t)) for t in self._touched.values()
-        )
+        touched = self._touched
+        return 0 if touched is None else ATOM_BYTES * int(np.count_nonzero(touched))
 
     @property
     def total_accesses(self) -> int:
         return self.reads + self.writes + self.atomics
 
     def reset(self) -> None:
-        """Clear contents, busy state and statistics (device reset)."""
-        self._pages.clear()
-        self._touched.clear()
+        """Clear contents (releasing storage), busy state and statistics."""
+        self._rows = {}
+        self._words = self._touched = None
+        self._page_words = min(_PAGE_WORDS, self.capacity_bytes // 8)
         self._image = None
         self.busy_until = 0
         owner = self._owner
@@ -544,10 +543,9 @@ class Bank:
 
 
 #: Slots the compact pickle codec stores by value, in this order
-#: (storage, slab bookkeeping and DRAM leaves are encoded separately).
+#: (storage and DRAM leaves are encoded separately).
 _STATE_SLOTS = tuple(
     name for name in Bank.__slots__
-    if name not in ("drams", "_pages", "_touched", "_image",
-                    "_chunk", "_tchunk", "_chunk_used")
+    if name not in ("drams", "_rows", "_words", "_touched", "_image")
 )
 _state_values = attrgetter(*_STATE_SLOTS)

@@ -5,7 +5,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.bank import ATOM_BYTES, Bank, COLUMN_FETCH_BYTES, DRAM
+from repro.core.bank import (
+    ATOM_BYTES,
+    COLUMN_FETCH_BYTES,
+    DRAM,
+    PAGE_ATOMS,
+    Bank,
+)
 
 
 @pytest.fixture
@@ -134,10 +140,74 @@ class TestAccounting:
         assert not bank.is_busy(0)
 
 
-#: Slots holding storage or slab bookkeeping (compared via the public
-#: storage views) or the DRAM leaves (compared leaf by leaf).
-_NON_COUNTER_SLOTS = ("drams", "_pages", "_touched", "_image",
-                      "_chunk", "_tchunk", "_chunk_used")
+def _storage_bytes(bank):
+    """Bytes held by the bank's word and touched arrays."""
+    return sum(a.nbytes for a in (bank._words, bank._touched) if a is not None)
+
+
+class TestArenaStorage:
+    def test_storage_scales_with_pages_written(self):
+        # Uniform random 64 B writes, as in the paper's harness: nearly
+        # every write lands on a fresh page, and the doubling arena
+        # holds at most twice the rows in use.
+        capacity = 16 << 20
+        bank = Bank(0, capacity)
+        rng = np.random.default_rng(5)
+        for block in rng.integers(0, capacity // 64, size=4096):
+            bank.write(int(block) * 64, [1] * 8)
+        pages = len(bank._pages)
+        page_bytes = PAGE_ATOMS * ATOM_BYTES
+        assert 0 < _storage_bytes(bank) <= 2 * pages * (page_bytes + PAGE_ATOMS)
+
+    def test_fresh_bank_allocates_nothing(self):
+        assert _storage_bytes(Bank(0, 1 << 20)) == 0
+
+    def test_reset_releases_storage(self, bank):
+        bank.write(0, [1, 2])
+        bank.write(1 << 19, [3, 4])
+        assert _storage_bytes(bank) > 0
+        bank.reset()
+        assert _storage_bytes(bank) == 0
+        assert bank.export_storage() == [] and bank.touched_atoms() == []
+
+    def test_import_adopts_image_page_length(self, bank):
+        # An export from a bank with 512-word (4 KiB) pages, the layout
+        # older checkpoints restore with.
+        pw = 512
+        words = np.arange(2 * pw, dtype=np.uint64).reshape(2, pw)
+        touched = np.zeros((2, pw // 2), dtype=bool)
+        touched[0, 3] = touched[1, 0] = True
+        image = [(0, words[0], touched[0]), (5, words[1], touched[1])]
+        bank.import_storage(image)
+        assert bank.touched_atoms() == [3, 5 * 256]
+        assert bank.atom_words(3) == (6, 7)
+        assert bank.read(5 * 4096, 32) == [512, 513, 514, 515]
+        got = bank.export_storage()
+        assert [pg for pg, _, _ in got] == [0, 5]
+        for (_, w0, t0), (_, w1, t1) in zip(image, got):
+            assert np.array_equal(w0, w1) and np.array_equal(t0, t1)
+        bank.write(5 * 4096 + 16, [9, 9])     # adopted page
+        bank.write(9 * 4096, [8, 8])          # fresh page, same length
+        assert bank.read(5 * 4096, 32) == [512, 513, 9, 9]
+        assert bank.atom_words(9 * 256) == (8, 8)
+
+    @pytest.mark.parametrize("image", [
+        [(0, np.zeros(16, np.uint64), np.zeros(8, bool)),
+         (1, np.zeros(512, np.uint64), np.zeros(256, bool))],
+        [(0, np.zeros(16, np.uint64), np.zeros(16, bool))],
+        [(0, np.zeros(3, np.uint64), np.zeros(1, bool))],
+    ], ids=["mixed_lengths", "touched_length", "partial_atom"])
+    def test_import_rejects_malformed_pages(self, bank, image):
+        bank.write(0, [1, 2])
+        with pytest.raises(ValueError):
+            bank.import_storage(image)
+        assert bank.atom_words(0) == (1, 2)
+
+
+#: Slots holding storage (compared via the public storage views; arena
+#: row order is not preserved across a round trip) or the DRAM leaves
+#: (compared leaf by leaf).
+_NON_COUNTER_SLOTS = ("drams", "_rows", "_words", "_touched", "_image")
 
 
 def _written_bank():

@@ -5,10 +5,12 @@
 flat-core overhaul replaced ``Bank``'s dict-of-atoms pickle with the
 paged ``_storage_v2`` codec; ``tests/fixtures/storage_v2_snapshot.bin``
 (``gen_storage_v2.py``) was produced while ``_storage_v2`` was still
-the written format, before the compact per-bank codec replaced it.
-Restoring either on the current tree and replaying the recorded
-continuation must reproduce the committed observables bit-for-bit:
-old blobs load into the array-backed storage and resume identically.
+the written format, before the compact per-bank codec replaced it;
+``tests/fixtures/compact_4k_snapshot.bin`` (``gen_compact_4k.py``) was
+produced by the compact codec while pages still held 4 KiB.  Restoring
+any of them on the current tree and replaying the recorded continuation
+must reproduce the committed observables bit-for-bit: old blobs load
+into the array-backed storage and resume identically.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import os
 
 import pytest
 
-from repro.core.bank import Bank
+from repro.core.bank import ATOM_BYTES, Bank
 from repro.core.checkpoint import restore_bundle
-from tests.fixtures import gen_storage_v2
+from tests.fixtures import gen_compact_4k, gen_storage_v2
 from tests.fixtures.gen_pre_flat_core import (
     BLOB_PATH,
     EXPECT_PATH,
@@ -49,6 +51,16 @@ def v2_blob():
     return _load(gen_storage_v2.BLOB_PATH, gen_storage_v2.EXPECT_PATH)
 
 
+@pytest.fixture(scope="module")
+def compact_4k_blob():
+    return _load(gen_compact_4k.BLOB_PATH, gen_compact_4k.EXPECT_PATH)
+
+
+def _banks(sim):
+    return [bank for dev in sim.devices for vault in dev.vaults
+            for bank in vault.banks]
+
+
 def _assert_continuation(blob, expect):
     sim, (host,) = restore_bundle(blob)
     got = run_continuation(sim, host)
@@ -74,12 +86,7 @@ class TestPreFlatCoreBlob:
         blob, expect = fixture_blob
         sim, hosts = restore_bundle(blob)
         assert sim.clock_value == expect["snapshot_cycle"]
-        banks = [
-            bank
-            for dev in sim.devices
-            for vault in dev.vaults
-            for bank in vault.banks
-        ]
+        banks = _banks(sim)
         assert all(isinstance(b, Bank) for b in banks)
         # Phase A was write-heavy: restored content must be non-empty
         # and live in the paged arrays, not a legacy dict.
@@ -113,3 +120,39 @@ class TestStorageV2Blob:
 
     def test_continuation_replays_bit_identically(self, v2_blob):
         _assert_continuation(*v2_blob)
+
+
+class TestCompact4kBlob:
+    def test_blob_is_the_committed_artifact(self, compact_4k_blob):
+        blob, expect = compact_4k_blob
+        assert len(blob) == expect["blob_bytes"]
+        # A compact-codec blob: neither older codec's markers appear.
+        for marker in (b"_storage_v2", b"_blocks", b"DRAM"):
+            assert marker not in blob, marker
+
+    def test_restores_cycle_and_bank_digest(self, compact_4k_blob):
+        blob, expect = compact_4k_blob
+        sim, _ = restore_bundle(blob)
+        assert sim.clock_value == expect["snapshot_cycle"]
+        assert storage_fingerprint(sim) == expect["snapshot_storage_sha256"]
+        banks = _banks(sim)
+        # Restored banks keep the page length their blob recorded; a
+        # regenerated (current-layout) blob would prove nothing here.
+        assert {b._page_words for b in banks} == {gen_compact_4k.PAGE_WORDS}
+        assert any(b._rows for b in banks)
+
+    def test_continuation_replays_bit_identically(self, compact_4k_blob):
+        _assert_continuation(*compact_4k_blob)
+
+    def test_export_imports_into_fresh_bank(self, compact_4k_blob):
+        sim, _ = restore_bundle(compact_4k_blob[0])
+        written = [b for b in _banks(sim) if b._rows]
+        assert written
+        for old in written:
+            fresh = Bank(old.bank_id, old.capacity_bytes)
+            fresh.import_storage(old.export_storage())
+            assert fresh.touched_atoms() == old.touched_atoms()
+            for atom in old.touched_atoms():
+                assert fresh.atom_words(atom) == old.atom_words(atom)
+                block = atom * ATOM_BYTES // 128 * 128
+                assert fresh.read(block, 128) == old.read(block, 128)

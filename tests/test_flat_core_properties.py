@@ -170,6 +170,35 @@ def _dict_model_ops():
     )
 
 
+def _crossing_window(page_atoms):
+    """Map the 64 model atoms onto two 32-atom windows, each centred on
+    its own page boundary: ``(atom -> bank atom, bank size in atoms)``."""
+    def ceil_page(n):
+        return -(-n // page_atoms) * page_atoms
+
+    lo = ceil_page(16)
+    hi = ceil_page(lo + 32)
+
+    def to_bank(atom):
+        return atom - 16 + (lo if atom < 32 else hi - 32)
+
+    return to_bank, ceil_page(hi + 20)
+
+
+def _assert_window_straddles(to_bank, num_atoms, page_atoms):
+    atoms = {to_bank(a) for a in range(64)}
+    # Multi-atom ops reach up to 3 atoms past their start.
+    assert min(atoms) >= 0 and max(atoms) + 4 <= num_atoms
+    crossed = [b for b in range(page_atoms, num_atoms, page_atoms)
+               if b - 1 in atoms and b in atoms]
+    assert len(crossed) >= 2, crossed
+
+
+@pytest.mark.parametrize("page_atoms", [1, 2, 4, 8, 16, 32, 64, 256, 1024])
+def test_crossing_window_fits_any_page_size(page_atoms):
+    _assert_window_straddles(*_crossing_window(page_atoms), page_atoms)
+
+
 class TestBankMatchesDictModel:
     """Array-backed paged Bank vs a plain dict-of-atoms reference."""
 
@@ -190,16 +219,16 @@ class TestBankMatchesDictModel:
     @given(_dict_model_ops())
     @settings(max_examples=40, deadline=None)
     def test_page_crossing_sequences(self, ops):
-        """Capacity far above one page: ops rescaled to land near page
+        """Capacity above one page: ops remapped to land around two page
         boundaries so stitched reads/writes are exercised."""
         from repro.core.bank import PAGE_ATOMS
 
-        num_atoms = PAGE_ATOMS * 3
+        to_bank, num_atoms = _crossing_window(PAGE_ATOMS)
+        _assert_window_straddles(to_bank, num_atoms, PAGE_ATOMS)
         bank = Bank(0, num_atoms * ATOM_BYTES)
         model = {}
         for op in ops:
-            # Map the small atom index to a window straddling page 1/2.
-            op = (op[0], op[1] + PAGE_ATOMS - 32) + op[2:]
+            op = (op[0], to_bank(op[1])) + op[2:]
             self._apply(bank, model, op, num_atoms=num_atoms)
         assert bank.touched_atoms() == sorted(model)
         for atom in sorted(model):
